@@ -158,9 +158,13 @@ mod tests {
     }
 
     fn file_bytes(cube: &HyperCube, interleave: Interleave) -> Vec<u8> {
+        // One file per call: tests run in parallel threads of one process,
+        // and a shared name let one test delete another's file mid-read.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut path = std::env::temp_dir();
         path.push(format!(
-            "ingest_decoder_{}_{}.hsif",
+            "ingest_decoder_{}_{call}_{}.hsif",
             std::process::id(),
             interleave.label()
         ));

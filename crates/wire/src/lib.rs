@@ -30,6 +30,8 @@
 //! machinery already handles (a worker that disappears has its tasks
 //! re-dispatched).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod frame;
 pub mod transport;

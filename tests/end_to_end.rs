@@ -182,12 +182,27 @@ fn small_job_scene(seed: u64) -> SceneConfig {
     config
 }
 
-/// A cube big enough that a debug-build screening task reliably outlives the
-/// cancellation / backpressure assertions racing against it.
-fn slow_job_scene(seed: u64) -> SceneConfig {
-    let mut config = SceneConfig::small(seed);
-    config.dims = CubeDims::new(64, 64, 32);
-    config
+/// A blocker for the tests that race assertions against a running job.
+/// Its screening cannot be cut short, however fast one comparison gets:
+/// every pixel is unique by construction, so greedy screening compares
+/// each pixel with every earlier one — P(P−1)/2 comparisons (1.87 M at the
+/// blockers' 44×44) that no decision shortcut or member ordering can skip.
+/// Pixel k carries a distinct 16-bit pattern over bands 0..16 and its
+/// complement over bands 16..32, so every spectrum has exactly 16 lit
+/// bands and two spectra share at most 15: their cosine is at most 15/16,
+/// an angle of at least 20°, far beyond the paper's 5° threshold.  `seed`
+/// shuffles the patterns and brightnesses.
+fn slow_job_cube(side: usize, seed: u64) -> hsi::HyperCube {
+    let dims = CubeDims::new(side, side, 32);
+    let mut samples = Vec::with_capacity(dims.samples());
+    for k in 0..dims.pixels() as u64 {
+        let pattern = (k * 40_503 + seed) & 0xffff;
+        let brightness = 1.0 + ((k + seed) % 7) as f64 * 0.25;
+        let lit = |band: u64| brightness * (pattern >> band & 1) as f64;
+        samples.extend((0..16).map(lit));
+        samples.extend((0..16).map(|band| brightness - lit(band)));
+    }
+    hsi::HyperCube::from_samples(dims, samples).unwrap()
 }
 
 fn wait_for_running(handle: &JobHandle) {
@@ -258,7 +273,7 @@ fn service_admission_queue_applies_backpressure() {
     // One job in flight, a queue of two: once the queue is full, try_submit
     // must reject with Saturated until the scheduler drains something.
     let service = test_service(2, 1);
-    let slow = JobSpec::builder(CubeSource::Synthetic(slow_job_scene(70)))
+    let slow = JobSpec::builder(CubeSource::InMemory(Arc::new(slow_job_cube(44, 70))))
         .pinned(BackendKind::Standard)
         .shards(1)
         .build()
@@ -298,7 +313,7 @@ fn service_cancellation_mid_flight_and_while_queued() {
     let service = test_service(8, 1);
     let mut running = service
         .submit(
-            JobSpec::builder(CubeSource::Synthetic(slow_job_scene(71)))
+            JobSpec::builder(CubeSource::InMemory(Arc::new(slow_job_cube(44, 71))))
                 .pinned(BackendKind::Standard)
                 .shards(2)
                 .build()
@@ -355,7 +370,7 @@ fn service_handle_lifecycle_timeout_drop_detach_and_shutdown() {
     // outcome stays takeable.
     let mut slow = service
         .submit(
-            JobSpec::builder(CubeSource::Synthetic(slow_job_scene(75)))
+            JobSpec::builder(CubeSource::InMemory(Arc::new(slow_job_cube(44, 75))))
                 .pinned(BackendKind::Standard)
                 .shards(2)
                 .build()
@@ -368,7 +383,7 @@ fn service_handle_lifecycle_timeout_drop_detach_and_shutdown() {
     // Cancel-on-drop: a dropped handle cancels its job...
     let dropped = service
         .submit(
-            JobSpec::builder(CubeSource::Synthetic(slow_job_scene(76)))
+            JobSpec::builder(CubeSource::InMemory(Arc::new(slow_job_cube(44, 76))))
                 .pinned(BackendKind::Standard)
                 .shards(2)
                 .build()
@@ -1166,7 +1181,7 @@ fn remote_worker_sigkill_mid_screen_reassigns_tasks_and_stays_byte_identical() {
 
     // A slow cube so the first screening task is still running on rw0 when
     // the kill lands (free-deque order guarantees rw0 gets it).
-    let cube = Arc::new(SceneGenerator::new(slow_job_scene(210)).unwrap().generate());
+    let cube = Arc::new(slow_job_cube(44, 210));
     let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
         .pinned(BackendKind::Remote)
         .shards(3)
@@ -1247,16 +1262,17 @@ fn ingest_under_pressure_sheds_deterministically_and_admitted_cubes_fuse_exactly
     // small cubes in mixed interleaves (sorted replay order).
     let dir = std::env::temp_dir().join(format!("e2e_ingest_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let blocker = slow_job_scene(130);
+    let blocker = slow_job_cube(44, 130);
     let small = small_job_scene(131);
-    let blocker_bytes = blocker.dims.byte_size();
+    let blocker_bytes = blocker.byte_size();
     let small_bytes = small.dims.byte_size();
     let mut total_payload = 0u64;
-    for (i, config) in std::iter::once(blocker)
-        .chain((0..5).map(|i| small_job_scene(140 + i)))
-        .enumerate()
-    {
-        let cube = SceneGenerator::new(config).unwrap().generate();
+    let burst = (0..5).map(|i| {
+        SceneGenerator::new(small_job_scene(140 + i))
+            .unwrap()
+            .generate()
+    });
+    for (i, cube) in std::iter::once(blocker).chain(burst).enumerate() {
         total_payload += cube.byte_size() as u64;
         let name = if i == 0 {
             "00_blocker.hsif".to_string()
@@ -1364,11 +1380,9 @@ fn chaos_trace_nests_detect_regenerate_recompute_under_the_affected_job() {
     )
     .unwrap();
 
-    let cube = Arc::new(
-        SceneGenerator::new(small_job_scene(140))
-            .unwrap()
-            .generate(),
-    );
+    // All-unique pixels keep the screen phase open long enough for the
+    // kill to be detected inside it, however fast screening gets.
+    let cube = Arc::new(slow_job_cube(24, 140));
     let mut handle = service
         .submit(
             JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
