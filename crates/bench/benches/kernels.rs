@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the eight algorithm steps' kernels:
 //! spectral-angle screening, covariance accumulation, the Jacobi eigensolver,
-//! the per-pixel PCT transform and the human-centred colour mapping.
+//! the per-pixel PCT transform and the human-centred colour mapping, plus
+//! the wire frame CRC-32.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsi::{CubeDims, SceneConfig, SceneGenerator};
 use linalg::covariance::covariance_matrix;
 use linalg::eigen::{sorted_eigenpairs, JacobiOptions};
@@ -70,7 +71,9 @@ fn bench_rank_one_update(c: &mut Criterion) {
 fn bench_eigen(c: &mut Criterion) {
     let mut group = c.benchmark_group("step6_jacobi_eigen");
     group.sample_size(10);
-    for &bands in &[24usize, 48, 105] {
+    // 105 bands is the paper's evaluation cube, 210 the full HYDICE cube
+    // the remote-ingest benchmark derives on.
+    for &bands in &[24usize, 48, 105, 210] {
         let cube = scene(16, 16, bands);
         let cov = covariance_matrix(&cube.pixel_vectors()).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(bands), &cov, |b, cov| {
@@ -100,12 +103,27 @@ fn bench_transform_and_colormap(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire_crc32");
+    group.sample_size(10);
+    // One 64×64×210 cube of f64 samples: the payload of a remote-ingest
+    // screen task frame.
+    let bytes: Vec<u8> = (0..64 * 64 * 210 * 8u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    group.bench_function("64x64x210_f64", |b| {
+        b.iter(|| wire::frame::crc32(black_box(&bytes)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_screening,
     bench_covariance,
     bench_rank_one_update,
     bench_eigen,
-    bench_transform_and_colormap
+    bench_transform_and_colormap,
+    bench_crc32
 );
 criterion_main!(kernels);

@@ -44,7 +44,7 @@ use service::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::Telemetry;
-use wire::{decode_body, encode_message, FrameReader, WireMessage};
+use wire::{encode_message, FrameReader, WireMessage};
 
 const JOBS: u64 = 32;
 
@@ -274,8 +274,11 @@ fn wire_probe() -> (usize, usize, f64, f64) {
         let mut decoded = 0usize;
         for frame in &encoded {
             reader.push(frame);
-            while let Some(body) = reader.next_frame().expect("frames are well-formed") {
-                decode_body(&body).expect("bodies decode");
+            while reader
+                .next_message()
+                .expect("frames are well-formed and decode")
+                .is_some()
+            {
                 decoded += 1;
             }
         }

@@ -11,6 +11,27 @@
 //! free, numerically robust for symmetric matrices, and produces orthogonal
 //! eigenvectors to machine precision — properties the property-based tests in
 //! this module assert directly.
+//!
+//! # Storage layout
+//!
+//! `A` is one flat row-major `n × n` slice.  Each rotation `A ← Jᵀ A J`
+//! is applied as two passes: the column pass walks the rows with
+//! `chunks_exact_mut(n)` and rotates entries `p` and `q` of each, then the
+//! row pass rotates the two contiguous rows `p` and `q`, taken together with
+//! `split_at_mut`.  The solver accumulates `Vᵀ` rather than `V`: the update
+//! `V ← V J` rotates columns `p` and `q` of `V`, which are rows `p` and `q`
+//! of `Vᵀ`, so it is the same contiguous two-row rotation as the row pass
+//! (`rotate_rows`).  `Vᵀ` is transposed in place once at the end.  Only
+//! `A` and `Vᵀ` are held, so memory stays at two `n × n` matrices.
+//!
+//! The result is bit-identical to an index-based `a[(k, p)]` formulation
+//! (the test suite keeps a frozen copy of one and compares `to_bits`):
+//! the sweep order, the rotation formulas, the skip test and the
+//! convergence test are unchanged, every entry is computed by the same
+//! floating-point expression from the same operands, and the only sums —
+//! the off-diagonal norm — run in the same `(i, j)` order.  Within one
+//! pass each entry is read and written by exactly one step, so the order
+//! in which the rows of a pass are visited cannot change a value.
 
 use crate::matrix::Matrix;
 use crate::sym::SymMatrix;
@@ -61,17 +82,33 @@ impl EigenDecomposition {
     }
 }
 
-fn off_diagonal_norm(a: &Matrix) -> f64 {
-    let n = a.rows();
+/// Frobenius norm of the off-diagonal part of the row-major `n × n` slice
+/// `a`, summed row by row, left to right.
+fn off_diagonal_norm(a: &[f64], n: usize) -> f64 {
     let mut acc = 0.0;
-    for i in 0..n {
-        for j in 0..n {
+    for (i, row) in a.chunks_exact(n).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
             if i != j {
-                acc += a[(i, j)] * a[(i, j)];
+                acc += x * x;
             }
         }
     }
     acc.sqrt()
+}
+
+/// Rows `p < q` of the row-major `n`-column slice `m`, both mutable.
+fn row_pair(m: &mut [f64], n: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let (head, tail) = m.split_at_mut(q * n);
+    (&mut head[p * n..(p + 1) * n], &mut tail[..n])
+}
+
+/// Plane rotation of two rows: `(x, y) ← (c·x − s·y, s·x + c·y)` entrywise.
+fn rotate_rows(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
+        let (xv, yv) = (*xk, *yk);
+        *xk = c * xv - s * yv;
+        *yk = s * xv + c * yv;
+    }
 }
 
 /// Computes the eigen-decomposition of a symmetric matrix with the cyclic
@@ -85,25 +122,27 @@ pub fn jacobi_eigen(matrix: &SymMatrix, options: JacobiOptions) -> Result<EigenD
             sweeps: 0,
         });
     }
-    let mut a = matrix.to_dense();
-    let mut v = Matrix::identity(n);
-    let scale = a.frobenius_norm().max(f64::MIN_POSITIVE);
+    let mut dense = matrix.to_dense();
+    let scale = dense.frobenius_norm().max(f64::MIN_POSITIVE);
+    let a = dense.as_mut_slice();
+    // Row k of `vt` is eigenvector k (column k of V).
+    let mut vt = Matrix::identity(n);
 
     let mut sweeps = 0;
     while sweeps < options.max_sweeps {
-        let off = off_diagonal_norm(&a);
+        let off = off_diagonal_norm(a, n);
         if off <= options.tolerance * scale {
             break;
         }
         sweeps += 1;
         for p in 0..n - 1 {
             for q in p + 1..n {
-                let apq = a[(p, q)];
+                let apq = a[p * n + q];
                 if apq.abs() <= f64::MIN_POSITIVE {
                     continue;
                 }
-                let app = a[(p, p)];
-                let aqq = a[(q, q)];
+                let app = a[p * n + p];
+                let aqq = a[q * n + q];
                 // Rotation angle that annihilates a[p][q].
                 let theta = 0.5 * (aqq - app) / apq;
                 let t = if theta >= 0.0 {
@@ -114,31 +153,24 @@ pub fn jacobi_eigen(matrix: &SymMatrix, options: JacobiOptions) -> Result<EigenD
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = t * c;
 
-                // Apply the rotation to A from both sides: A <- J^T A J.
-                for k in 0..n {
-                    let akp = a[(k, p)];
-                    let akq = a[(k, q)];
-                    a[(k, p)] = c * akp - s * akq;
-                    a[(k, q)] = s * akp + c * akq;
+                // Apply the rotation to A from both sides: A <- J^T A J,
+                // columns p and q first, then rows p and q.
+                for row in a.chunks_exact_mut(n) {
+                    let (akp, akq) = (row[p], row[q]);
+                    row[p] = c * akp - s * akq;
+                    row[q] = s * akp + c * akq;
                 }
-                for k in 0..n {
-                    let apk = a[(p, k)];
-                    let aqk = a[(q, k)];
-                    a[(p, k)] = c * apk - s * aqk;
-                    a[(q, k)] = s * apk + c * aqk;
-                }
-                // Accumulate the eigenvector matrix: V <- V J.
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
+                let (ap, aq) = row_pair(a, n, p, q);
+                rotate_rows(ap, aq, c, s);
+                // Accumulate the eigenvectors: V <- V J, i.e. rows p and q
+                // of V^T.
+                let (vp, vq) = row_pair(vt.as_mut_slice(), n, p, q);
+                rotate_rows(vp, vq, c, s);
             }
         }
     }
 
-    let off = off_diagonal_norm(&a);
+    let off = off_diagonal_norm(a, n);
     if off > options.tolerance * scale * 1e3 && sweeps >= options.max_sweeps {
         return Err(LinalgError::NotConverged {
             sweeps,
@@ -146,10 +178,16 @@ pub fn jacobi_eigen(matrix: &SymMatrix, options: JacobiOptions) -> Result<EigenD
         });
     }
 
-    let eigenvalues = (0..n).map(|i| a[(i, i)]).collect();
+    let eigenvalues = (0..n).map(|i| a[i * n + i]).collect();
+    let v = vt.as_mut_slice();
+    for i in 0..n {
+        for j in i + 1..n {
+            v.swap(i * n + j, j * n + i);
+        }
+    }
     Ok(EigenDecomposition {
         eigenvalues,
-        eigenvectors: v,
+        eigenvectors: vt,
         sweeps,
     })
 }

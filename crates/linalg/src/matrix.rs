@@ -90,6 +90,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The row-major storage, mutably (the eigensolver rotates rows in it).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Returns row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]

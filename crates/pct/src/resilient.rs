@@ -852,6 +852,26 @@ mod tests {
             .generate()
     }
 
+    /// A `side × side × 32` cube whose pixels are all unique by
+    /// construction, so greedy screening compares every pair and no decision
+    /// shortcut can skip one.  Pixel k lights a distinct 16-bit pattern over
+    /// bands 0..16 and its complement over bands 16..32: every spectrum has
+    /// 16 lit bands and two share at most 15, an angle of at least 20°, far
+    /// beyond the paper's 5° threshold.  `seed` shifts the patterns and
+    /// brightnesses.
+    fn all_unique_cube(side: usize, seed: u64) -> HyperCube {
+        let dims = hsi::CubeDims::new(side, side, 32);
+        let mut samples = Vec::with_capacity(dims.samples());
+        for k in 0..dims.pixels() as u64 {
+            let pattern = (k * 40_503 + seed) & 0xffff;
+            let brightness = 1.0 + ((k + seed) % 7) as f64 * 0.25;
+            let lit = |band: u64| brightness * (pattern >> band & 1) as f64;
+            samples.extend((0..16).map(lit));
+            samples.extend((0..16).map(|band| brightness - lit(band)));
+        }
+        HyperCube::from_samples(dims, samples).unwrap()
+    }
+
     /// The non-resilient distributed run with the identical decomposition —
     /// the resilient pipeline must produce exactly the same statistics and
     /// image, since replication and regeneration are transparent to the
@@ -925,11 +945,11 @@ mod tests {
 
     #[test]
     fn attack_on_one_member_is_survived_and_regenerated() {
-        // A somewhat larger scene so the run comfortably outlives the
-        // failure-detection latency after the attack fires.
-        let mut config = SceneConfig::small(13);
-        config.dims = hsi::CubeDims::new(64, 64, 24);
-        let cube = SceneGenerator::new(config).unwrap().generate();
+        // The killed member's mailbox may outlive every later group send, so
+        // the loss is found by heartbeat silence (8 × 50 ms).  The run must
+        // outlive that however fast the kernels are: with every pixel
+        // unique, screening and the merge compare all 2304 pixels pairwise.
+        let cube = all_unique_cube(48, 13);
         let reference = reference(&cube);
         let (out, report) = ResilientPct::new(PctConfig::paper(), 2, 2)
             .run_with_attack(&cube, AttackPlan::kill_first_worker_member())

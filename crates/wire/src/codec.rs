@@ -24,7 +24,8 @@
 //! [`encode_message`] `debug_assert`s, via the thread-local clone ledger,
 //! that materialization is the *only* payload copy the encoder performed.
 
-use crate::{frame, Result, WireError, PROTOCOL_VERSION};
+use crate::frame::{self, FrameReader};
+use crate::{Result, WireError, PROTOCOL_VERSION};
 use hsi::{CubeDims, CubeView, HyperCube};
 use linalg::{Matrix, Vector};
 use pct::messages::PctMessage;
@@ -124,12 +125,12 @@ fn put_view(out: &mut Vec<u8>, view: &CubeView) {
     put_f64s(out, shard.samples());
 }
 
-fn encode_body(msg: &WireMessage) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Appends the body of `msg` to `out`.
+fn encode_body(msg: &WireMessage, out: &mut Vec<u8>) {
     match msg {
         WireMessage::Hello { version } => {
             out.push(TAG_HELLO);
-            put_u32(&mut out, *version);
+            put_u32(out, *version);
         }
         WireMessage::Pct(PctMessage::ScreenTask {
             task,
@@ -137,20 +138,20 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
             threshold_rad,
         }) => {
             out.push(TAG_SCREEN_TASK);
-            put_u64(&mut out, *task as u64);
-            put_view(&mut out, view);
-            put_f64(&mut out, *threshold_rad);
+            put_u64(out, *task as u64);
+            put_view(out, view);
+            put_f64(out, *threshold_rad);
         }
         WireMessage::Pct(PctMessage::UniqueSet { task, unique }) => {
             out.push(TAG_UNIQUE_SET);
-            put_u64(&mut out, *task as u64);
-            put_vectors(&mut out, unique);
+            put_u64(out, *task as u64);
+            put_vectors(out, unique);
         }
         WireMessage::Pct(PctMessage::CovarianceTask { task, mean, pixels }) => {
             out.push(TAG_COVARIANCE_TASK);
-            put_u64(&mut out, *task as u64);
-            put_vector(&mut out, mean);
-            put_vectors(&mut out, pixels);
+            put_u64(out, *task as u64);
+            put_vector(out, mean);
+            put_vectors(out, pixels);
         }
         WireMessage::Pct(PctMessage::CovarianceSum {
             task,
@@ -159,11 +160,11 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
             count,
         }) => {
             out.push(TAG_COVARIANCE_SUM);
-            put_u64(&mut out, *task as u64);
-            put_u32(&mut out, packed.len() as u32);
-            put_f64s(&mut out, packed);
-            put_u32(&mut out, *bands as u32);
-            put_u64(&mut out, *count);
+            put_u64(out, *task as u64);
+            put_u32(out, packed.len() as u32);
+            put_f64s(out, packed);
+            put_u32(out, *bands as u32);
+            put_u64(out, *count);
         }
         WireMessage::Pct(PctMessage::TransformTask {
             task,
@@ -173,14 +174,14 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
             scales,
         }) => {
             out.push(TAG_TRANSFORM_TASK);
-            put_u64(&mut out, *task as u64);
-            put_view(&mut out, view);
-            put_vector(&mut out, mean);
-            put_matrix(&mut out, transform);
-            put_u32(&mut out, scales.len() as u32);
+            put_u64(out, *task as u64);
+            put_view(out, view);
+            put_vector(out, mean);
+            put_matrix(out, transform);
+            put_u32(out, scales.len() as u32);
             for &(lo, hi) in scales {
-                put_f64(&mut out, lo);
-                put_f64(&mut out, hi);
+                put_f64(out, lo);
+                put_f64(out, hi);
             }
         }
         WireMessage::Pct(PctMessage::RgbStrip {
@@ -191,11 +192,11 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
             rgb,
         }) => {
             out.push(TAG_RGB_STRIP);
-            put_u64(&mut out, *task as u64);
-            put_u32(&mut out, *row_start as u32);
-            put_u32(&mut out, *rows as u32);
-            put_u32(&mut out, *width as u32);
-            put_bytes(&mut out, rgb);
+            put_u64(out, *task as u64);
+            put_u32(out, *row_start as u32);
+            put_u32(out, *rows as u32);
+            put_u32(out, *width as u32);
+            put_bytes(out, rgb);
         }
         WireMessage::Pct(PctMessage::ScreenSeededTask {
             task,
@@ -204,15 +205,15 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
             threshold_rad,
         }) => {
             out.push(TAG_SCREEN_SEEDED_TASK);
-            put_u64(&mut out, *task as u64);
-            put_view(&mut out, view);
-            put_vectors(&mut out, seed);
-            put_f64(&mut out, *threshold_rad);
+            put_u64(out, *task as u64);
+            put_view(out, view);
+            put_vectors(out, seed);
+            put_f64(out, *threshold_rad);
         }
         WireMessage::Pct(PctMessage::SeededUnique { task, accepted }) => {
             out.push(TAG_SEEDED_UNIQUE);
-            put_u64(&mut out, *task as u64);
-            put_vectors(&mut out, accepted);
+            put_u64(out, *task as u64);
+            put_vectors(out, accepted);
         }
         WireMessage::Pct(PctMessage::DeriveTask {
             task,
@@ -220,10 +221,10 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
             config,
         }) => {
             out.push(TAG_DERIVE_TASK);
-            put_u64(&mut out, *task as u64);
-            put_vectors(&mut out, unique);
-            put_f64(&mut out, config.screening_angle_rad);
-            put_u32(&mut out, config.output_components as u32);
+            put_u64(out, *task as u64);
+            put_vectors(out, unique);
+            put_f64(out, config.screening_angle_rad);
+            put_u32(out, config.output_components as u32);
         }
         WireMessage::Pct(PctMessage::DerivedTransform {
             task,
@@ -232,21 +233,20 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
             eigenvalues,
         }) => {
             out.push(TAG_DERIVED_TRANSFORM);
-            put_u64(&mut out, *task as u64);
-            put_vector(&mut out, mean);
-            put_matrix(&mut out, transform);
-            put_u32(&mut out, eigenvalues.len() as u32);
-            put_f64s(&mut out, eigenvalues);
+            put_u64(out, *task as u64);
+            put_vector(out, mean);
+            put_matrix(out, transform);
+            put_u32(out, eigenvalues.len() as u32);
+            put_f64s(out, eigenvalues);
         }
         WireMessage::Pct(PctMessage::TaskFailed { task, error }) => {
             out.push(TAG_TASK_FAILED);
-            put_u64(&mut out, *task as u64);
-            put_bytes(&mut out, error.as_bytes());
+            put_u64(out, *task as u64);
+            put_bytes(out, error.as_bytes());
         }
         WireMessage::Pct(PctMessage::Heartbeat) => out.push(TAG_HEARTBEAT),
         WireMessage::Pct(PctMessage::Shutdown) => out.push(TAG_SHUTDOWN),
     }
-    out
 }
 
 /// Sub-cube payload bytes the encoder is *expected* to copy for `msg`: the
@@ -267,13 +267,26 @@ fn expected_copy_bytes(msg: &WireMessage) -> u64 {
 /// charged to the ledger.
 pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
     let before = hsi::thread_cloned_bytes_total();
-    let body = encode_body(msg);
+    let mut out = frame::unsealed();
+    encode_body(msg, &mut out);
     debug_assert_eq!(
         hsi::thread_cloned_bytes_total() - before,
         expected_copy_bytes(msg),
         "wire encode must deep-copy payload only via CubeView::materialize"
     );
-    frame::frame(&body)
+    frame::seal(&mut out);
+    out
+}
+
+impl FrameReader {
+    /// Pops and decodes the next complete frame, decoding the body in the
+    /// reader's buffer: `Ok(None)` if more bytes are needed, a typed error
+    /// for an invalid header, CRC or body.  A frame whose body fails to
+    /// decode is consumed, as with [`FrameReader::next_frame`] followed by
+    /// [`decode_body`].
+    pub fn next_message(&mut self) -> Result<Option<WireMessage>> {
+        self.next_frame_with(decode_body)?.transpose()
+    }
 }
 
 // ----- decoding ---------------------------------------------------------------
@@ -525,7 +538,6 @@ pub fn decode_body(body: &[u8]) -> Result<WireMessage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameReader;
 
     fn coded_view(w: usize, h: usize, b: usize) -> CubeView {
         let dims = CubeDims::new(w, h, b);
@@ -545,8 +557,20 @@ mod tests {
         let frame = encode_message(&msg);
         let mut reader = FrameReader::new();
         reader.push(&frame);
-        let body = reader.next_frame().unwrap().unwrap();
-        decode_body(&body).unwrap()
+        let decoded = reader.next_message().unwrap().unwrap();
+        assert_eq!(reader.buffered(), 0);
+        decoded
+    }
+
+    #[test]
+    fn next_message_consumes_a_frame_whose_body_fails_to_decode() {
+        let mut reader = FrameReader::new();
+        reader.push(&frame::frame(&[200]));
+        reader.push(&encode_message(&WireMessage::hello()));
+        assert_eq!(reader.next_message(), Err(WireError::UnknownTag(200)));
+        assert_eq!(reader.next_message(), Ok(Some(WireMessage::hello())));
+        assert_eq!(reader.next_message(), Ok(None));
+        assert_eq!(reader.buffered(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`handshake`] runs the symmetric version exchange both peers perform
 //! before any payload flows.
 
-use crate::codec::{decode_body, encode_message, WireMessage};
+use crate::codec::{encode_message, WireMessage};
 use crate::frame::FrameReader;
 use crate::{Result, WireError, PROTOCOL_VERSION};
 use std::io::{Read, Write};
@@ -92,8 +92,8 @@ impl Transport for LoopbackTransport {
         // Frames may arrive in arbitrary chunks in principle; feed them
         // through the same FrameReader the TCP path uses.
         loop {
-            if let Some(body) = self.reader.next_frame()? {
-                return Ok(Some(decode_body(&body)?));
+            if let Some(msg) = self.reader.next_message()? {
+                return Ok(Some(msg));
             }
             match self.rx.recv_timeout(timeout) {
                 Ok(bytes) => self.reader.push(&bytes),
@@ -156,8 +156,8 @@ impl Transport for TcpTransport {
         self.stream.set_read_timeout(Some(timeout))?;
         let mut chunk = [0u8; 64 * 1024];
         loop {
-            if let Some(body) = self.reader.next_frame()? {
-                return Ok(Some(decode_body(&body)?));
+            if let Some(msg) = self.reader.next_message()? {
+                return Ok(Some(msg));
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => {

@@ -62,11 +62,13 @@ pub struct Bencher {
 impl Bencher {
     /// Times `routine`, once per sample.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
-        // One untimed warm-up to populate caches / lazy state.
-        let _ = routine();
+        // One untimed warm-up to populate caches / lazy state.  Results go
+        // through `black_box`, as in the real criterion, so a pure routine
+        // is not optimised away.
+        black_box(routine());
         for _ in 0..self.samples {
             let start = Instant::now();
-            let _ = routine();
+            black_box(routine());
             self.timings.push(start.elapsed());
         }
     }
